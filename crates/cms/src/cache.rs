@@ -23,6 +23,9 @@ pub struct CacheManager {
     elements: BTreeMap<ElemId, CacheElement>,
     engine: SubsumptionEngine,
     exact: HashMap<String, ElemId>,
+    // element → every exact-match key registered for it (definition key
+    // plus aliases), so removal deletes only those.
+    exact_keys: HashMap<ElemId, Vec<String>>,
     next_id: ElemId,
     id_stride: u64,
     clock: u64,
@@ -51,6 +54,7 @@ impl CacheManager {
             elements: BTreeMap::new(),
             engine: SubsumptionEngine::default(),
             exact: HashMap::new(),
+            exact_keys: HashMap::new(),
             next_id: start,
             id_stride: stride.max(1),
             clock: 0,
@@ -116,7 +120,7 @@ impl CacheManager {
         }
         self.next_id += self.id_stride;
         self.used_bytes += bytes;
-        self.exact.insert(Self::exact_key(element.def.query()), id);
+        self.add_exact_key(Self::exact_key(element.def.query()), id);
         self.engine.insert(id, element.def.clone());
         self.elements.insert(id, element);
         Some(id)
@@ -133,9 +137,16 @@ impl CacheManager {
     ) -> Option<ElemId> {
         let id = self.insert(def, build)?;
         for a in aliases {
-            self.exact.insert(a.clone(), id);
+            self.add_exact_key(a.clone(), id);
         }
         Some(id)
+    }
+
+    /// Point an exact-match key at `id`, re-pointing it if another element
+    /// held it.
+    fn add_exact_key(&mut self, key: String, id: ElemId) {
+        self.exact.insert(key.clone(), id);
+        self.exact_keys.entry(id).or_default().push(key);
     }
 
     /// Evict the least-recently-used unpinned element. Returns `false`
@@ -164,7 +175,12 @@ impl CacheManager {
         let e = self.elements.remove(&id)?;
         self.used_bytes = self.used_bytes.saturating_sub(e.approx_bytes());
         self.engine.remove(id);
-        self.exact.retain(|_, v| *v != id);
+        for key in self.exact_keys.remove(&id).unwrap_or_default() {
+            // A later insert may have re-pointed the key to another element.
+            if self.exact.get(&key) == Some(&id) {
+                self.exact.remove(&key);
+            }
+        }
         Some(e)
     }
 
@@ -253,14 +269,20 @@ impl CacheManager {
     }
 
     /// All `(component, element, derivation)` reuse options for `q` via
-    /// the subsumption engine (§5.3.2 step 2).
-    pub fn relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
-        self.engine.find_relevant(q)
+    /// the subsumption engine (§5.3.2 step 2). `checks` grows by the
+    /// number of containment checks run.
+    pub fn relevant(&self, q: &ConjunctiveQuery, checks: &mut usize) -> Vec<CandidateUse> {
+        self.engine.find_relevant(q, checks)
     }
 
-    /// Elements subsuming the whole of `q`.
-    pub fn whole_subsumers(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)> {
-        self.engine.find_whole(q)
+    /// Elements subsuming the whole of `q`. `checks` grows by the number
+    /// of containment checks run.
+    pub fn whole_subsumers(
+        &self,
+        q: &ConjunctiveQuery,
+        checks: &mut usize,
+    ) -> Vec<(ElemId, Derivation)> {
+        self.engine.find_whole(q, checks)
     }
 
     /// Build the local compensation pipeline computing a derivation from
@@ -357,10 +379,16 @@ impl CacheManager {
 /// (N concurrent sessions) — planning and execution are written once,
 /// generic over this trait, so the two ownership models cannot drift.
 pub trait CacheRead {
-    /// All `(component, element, derivation)` reuse options for `q`.
-    fn relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse>;
-    /// Elements subsuming the whole of `q`.
-    fn whole_subsumers(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)>;
+    /// All `(component, element, derivation)` reuse options for `q`;
+    /// `checks` grows by the number of containment checks run.
+    fn relevant(&self, q: &ConjunctiveQuery, checks: &mut usize) -> Vec<CandidateUse>;
+    /// Elements subsuming the whole of `q`; `checks` grows by the number
+    /// of containment checks run.
+    fn whole_subsumers(
+        &self,
+        q: &ConjunctiveQuery,
+        checks: &mut usize,
+    ) -> Vec<(ElemId, Derivation)>;
     /// Exact-match lookup (canonical up to variable renaming).
     fn exact_lookup(&self, q: &ConjunctiveQuery) -> Option<ElemId>;
     /// Cardinality of an element's materialized extension, if any.
@@ -383,12 +411,16 @@ pub trait CacheRead {
 }
 
 impl CacheRead for CacheManager {
-    fn relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
-        CacheManager::relevant(self, q)
+    fn relevant(&self, q: &ConjunctiveQuery, checks: &mut usize) -> Vec<CandidateUse> {
+        CacheManager::relevant(self, q, checks)
     }
 
-    fn whole_subsumers(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)> {
-        CacheManager::whole_subsumers(self, q)
+    fn whole_subsumers(
+        &self,
+        q: &ConjunctiveQuery,
+        checks: &mut usize,
+    ) -> Vec<(ElemId, Derivation)> {
+        CacheManager::whole_subsumers(self, q, checks)
     }
 
     fn exact_lookup(&self, q: &ConjunctiveQuery) -> Option<ElemId> {
@@ -641,7 +673,7 @@ mod tests {
             )
             .unwrap();
         let q = parse_rule("q(X) :- b1(X, v2).").unwrap();
-        let uses = c.relevant(&q);
+        let uses = c.relevant(&q, &mut 0);
         assert!(!uses.is_empty());
         let u = &uses[0];
         let g = c.derive(u.element, &u.derivation, &["X"]).unwrap();
@@ -663,8 +695,37 @@ mod tests {
         assert!(c.remove(id).is_some());
         let q = parse_rule("q(A, B) :- b1(A, B).").unwrap();
         assert!(c.exact_lookup(&q).is_none());
-        assert!(c.relevant(&q).is_empty());
+        assert!(c.relevant(&q, &mut 0).is_empty());
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn removal_keeps_an_alias_a_later_insert_repointed() {
+        let mut c = CacheManager::new(usize::MAX);
+        let alias_q = parse_rule("q(A) :- b1(A, B).").unwrap();
+        let alias = CacheManager::exact_key(&alias_q);
+        let a = c
+            .insert_with_aliases(
+                def("a(X, Y) :- b1(X, Y)."),
+                ElementBuilder::Materialized(rel(2)),
+                std::slice::from_ref(&alias),
+            )
+            .unwrap();
+        let b = c
+            .insert_with_aliases(
+                def("b(X, Y, Z) :- b1(X, Y), b2(Y, Z)."),
+                ElementBuilder::Materialized(rel(2)),
+                std::slice::from_ref(&alias),
+            )
+            .unwrap();
+        assert_eq!(c.exact_lookup(&alias_q), Some(b));
+        c.remove(a).unwrap();
+        let a_def = parse_rule("q(X, Y) :- b1(X, Y).").unwrap();
+        assert_eq!(c.exact_lookup(&a_def), None, "a's own key is gone");
+        assert_eq!(c.exact_lookup(&alias_q), Some(b), "b's alias survives");
+        c.remove(b).unwrap();
+        assert_eq!(c.exact_lookup(&alias_q), None);
+        assert!(c.exact.is_empty() && c.exact_keys.is_empty());
     }
 
     #[test]

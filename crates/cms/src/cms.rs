@@ -63,7 +63,7 @@ type ViewsAndRemainder = (Vec<String>, Vec<String>);
 struct PlanTrace {
     views: Vec<String>,
     remainder: Vec<String>,
-    /// Cache elements the subsumption probe examined.
+    /// Containment checks the subsumption probe ran, summed over replans.
     candidates: usize,
     /// Planning/pinning races lost before this plan pinned cleanly.
     replans: usize,
@@ -342,7 +342,7 @@ impl Cms {
         // segment, the cache cannot already answer, and the path
         // expression predicts reuse.
         if self.config.generalization {
-            let already_answerable = !self.shared.cache.whole_subsumers(q).is_empty();
+            let already_answerable = !self.shared.cache.whole_subsumers(q, &mut 0).is_empty();
             if !already_answerable {
                 if let Some((gen, source_view)) = self.advice.generalization_candidate(q) {
                     // The generalized data pays off when the view whose
@@ -439,8 +439,10 @@ impl Cms {
         use_subsumption: bool,
         cost_based: bool,
     ) -> Result<(Plan, Vec<PinGuard>, Option<PlanTrace>)> {
+        let mut checks = 0;
         for attempt in 0..3 {
             let mut plan = planner::plan(q, &*self.shared.cache, use_subsumption)?;
+            checks += plan.subsume_checks;
             if cost_based && self.config.cost_based_placement {
                 plan = planner::choose_placement(
                     plan,
@@ -458,7 +460,7 @@ impl Cms {
                     Some(PlanTrace {
                         views,
                         remainder,
-                        candidates: self.shared.cache.len(),
+                        candidates: checks,
                         replans: attempt,
                     })
                 } else {
@@ -520,7 +522,7 @@ impl Cms {
                 PlanTrace {
                     views,
                     remainder,
-                    candidates: self.shared.cache.len(),
+                    candidates: plan.subsume_checks,
                     replans: 0,
                 }
             });
@@ -850,7 +852,7 @@ impl Cms {
     /// and prefetching). Skips evaluation when the cache already subsumes
     /// it.
     fn evaluate_into_cache(&mut self, q: &ConjunctiveQuery, count_prefetch: bool) -> Result<()> {
-        if !self.shared.cache.whole_subsumers(q).is_empty() {
+        if !self.shared.cache.whole_subsumers(q, &mut 0).is_empty() {
             return Ok(());
         }
         // §5.1's storage criterion (c): do not speculatively fetch an
@@ -926,7 +928,7 @@ impl Cms {
             let head = Atom::new(format!("whole_{pred}"), args.clone());
             let whole =
                 ConjunctiveQuery::new(head, vec![braid_caql::Literal::Atom(Atom::new(pred, args))]);
-            if self.shared.cache.whole_subsumers(&whole).is_empty() {
+            if self.shared.cache.whole_subsumers(&whole, &mut 0).is_empty() {
                 let (plan, pins, _) = self.plan_pinned(&whole, true, false)?;
                 if plan.all_cache() {
                     continue;

@@ -74,6 +74,8 @@ pub struct Plan {
     /// positive part (cache-first, remote fallback) and then removes the
     /// matching bindings.
     pub neg_parts: Vec<PlanPart>,
+    /// Containment checks the subsumption probe ran to build this plan.
+    pub subsume_checks: usize,
 }
 
 impl Plan {
@@ -131,10 +133,11 @@ pub fn plan<C: CacheRead>(q: &ConjunctiveQuery, cache: &C, use_subsumption: bool
         }
     }
 
+    let mut subsume_checks = 0;
     let mut candidates: Vec<CandidateUse> = if use_subsumption {
-        cache.relevant(q)
+        cache.relevant(q, &mut subsume_checks)
     } else {
-        exact_only_candidates(q, cache)
+        exact_only_candidates(q, cache, &mut subsume_checks)
     };
 
     // Overlap pruning: order by (size desc, residual filters asc, element
@@ -237,7 +240,10 @@ pub fn plan<C: CacheRead>(q: &ConjunctiveQuery, cache: &C, use_subsumption: bool
         );
         let vars: Vec<String> = a.vars().iter().map(|v| v.to_string()).collect();
         let cover = if use_subsumption {
-            cache.whole_subsumers(&single).into_iter().next()
+            cache
+                .whole_subsumers(&single, &mut subsume_checks)
+                .into_iter()
+                .next()
         } else {
             None
         };
@@ -259,20 +265,25 @@ pub fn plan<C: CacheRead>(q: &ConjunctiveQuery, cache: &C, use_subsumption: bool
         parts,
         residual_cmps,
         neg_parts,
+        subsume_checks,
     })
 }
 
 /// The baseline reuse rule: only a whole-query exact match counts
 /// ("cached results must exactly match the query", §5.3.2 on \[SELL87\] and
 /// \[IOAN88\]).
-fn exact_only_candidates<C: CacheRead>(q: &ConjunctiveQuery, cache: &C) -> Vec<CandidateUse> {
+fn exact_only_candidates<C: CacheRead>(
+    q: &ConjunctiveQuery,
+    cache: &C,
+    checks: &mut usize,
+) -> Vec<CandidateUse> {
     let Some(id) = cache.exact_lookup(q) else {
         return Vec::new();
     };
     // An exact match still needs its variable mapping; reuse the
     // subsumption test against this single element for a sound derivation.
     cache
-        .whole_subsumers(q)
+        .whole_subsumers(q, checks)
         .into_iter()
         .filter(|(e, _)| *e == id)
         .map(|(element, derivation)| CandidateUse {
@@ -453,6 +464,7 @@ pub fn choose_placement<C: CacheRead>(
             }],
             residual_cmps: residual,
             neg_parts: Vec::new(),
+            subsume_checks: plan.subsume_checks,
         };
     }
     plan

@@ -289,18 +289,22 @@ impl SharedCache {
 }
 
 impl CacheRead for SharedCache {
-    fn relevant(&self, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
+    fn relevant(&self, q: &ConjunctiveQuery, checks: &mut usize) -> Vec<CandidateUse> {
         let mut out = Vec::new();
         for idx in self.shards_of_query(q) {
-            out.extend(self.read(idx).relevant(q));
+            out.extend(self.read(idx).relevant(q, checks));
         }
         out
     }
 
-    fn whole_subsumers(&self, q: &ConjunctiveQuery) -> Vec<(ElemId, Derivation)> {
+    fn whole_subsumers(
+        &self,
+        q: &ConjunctiveQuery,
+        checks: &mut usize,
+    ) -> Vec<(ElemId, Derivation)> {
         let mut out = Vec::new();
         for idx in self.shards_of_query(q) {
-            out.extend(self.read(idx).whole_subsumers(q));
+            out.extend(self.read(idx).whole_subsumers(q, checks));
         }
         out
     }
@@ -403,8 +407,8 @@ mod tests {
                 &[],
             );
             let q = parse_rule("q(A) :- b3(A, v1).").unwrap();
-            assert_eq!(c.relevant(&q).len(), 1, "shards={shards}");
-            assert_eq!(c.whole_subsumers(&q).len(), 1, "shards={shards}");
+            assert_eq!(c.relevant(&q, &mut 0).len(), 1, "shards={shards}");
+            assert_eq!(c.whole_subsumers(&q, &mut 0).len(), 1, "shards={shards}");
         }
     }
 

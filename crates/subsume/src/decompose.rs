@@ -82,6 +82,34 @@ impl Component {
     pub fn is_whole(&self, n: usize) -> bool {
         self.start == 0 && self.end == n
     }
+
+    /// The variables this component of `q` must expose: the query-head
+    /// variables it covers plus the join variables it shares with the
+    /// rest of the query (atoms outside the segment and comparisons not
+    /// fully inside it).
+    pub fn needed_vars(&self, q: &ConjunctiveQuery) -> Vec<String> {
+        let mut outside: BTreeSet<&str> = q.head.var_set();
+        let atoms = q.positive_atoms();
+        if !self.is_whole(atoms.len()) {
+            for (i, a) in atoms.iter().enumerate() {
+                if i < self.start || i >= self.end {
+                    outside.extend(a.var_set());
+                }
+            }
+            for l in &q.body {
+                if let Literal::Cmp(c) = l {
+                    if !self.cmps.contains(c) {
+                        outside.extend(c.lhs.vars());
+                        outside.extend(c.rhs.vars());
+                    }
+                }
+            }
+        }
+        self.vars()
+            .intersection(&outside)
+            .map(|v| v.to_string())
+            .collect()
+    }
 }
 
 /// Enumerate all contiguous components of `q`, largest first (the planner

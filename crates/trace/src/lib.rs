@@ -54,7 +54,7 @@ pub enum TraceKind {
     /// subquery ships one planner record instead of two.
     Subsumption,
     /// Planner decision: cache/remote/mixed, lazy/eager, pins taken,
-    /// plus the subsumption probe (candidates examined, replans).
+    /// plus the subsumption probe (containment checks run, replans).
     PlanDecision,
     /// Pin race lost three times: fell back to an all-remote plan.
     PinFallback,

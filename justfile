@@ -110,6 +110,12 @@ load procs="4" rate="800" queries="200":
 server-chaos:
     cargo test --release --test server_chaos -q
 
+# The end-to-end benchmark exactly as BENCHMARK.json declares it: every
+# workload, oracle-checked, one JSON metrics line each. Pass braidbench
+# flags through, e.g. `just braidbench --workload cold-fetch --trace 1`.
+braidbench *args:
+    cargo run --release --offline --quiet --manifest-path braidbench/Cargo.toml --bin braidbench -- {{args}}
+
 # Narrated braid-server demo: N TCP clients multiplexed as resumable
 # session state machines on a fixed worker pool (DESIGN.md §12).
 serve:

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The repo's CI gate: formatting, build, full test suite, the executor
 # differential suite, the trace/EXPLAIN suite, the network suite (frame
-# codec, fault proxy, socket chaos round), lint-as-error, and quick
-# smoke runs of the fault-tolerance (E11) and tracing-overhead (E14)
-# experiments. Run from anywhere.
+# codec, fault proxy, socket chaos round), the braidbench suite,
+# lint-as-error, and quick smoke runs of the fault-tolerance (E11) and
+# tracing-overhead (E14) experiments. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +68,9 @@ cargo run --release -p braid-load --bin load -- --procs 2 --conns 1 --queries 40
 
 echo "==> braid server round trip (serve example)"
 cargo run --release --example serve > /dev/null
+
+echo "==> braidbench suite (workload predictions, manifest in step with the program)"
+cargo test --release --offline --manifest-path braidbench/Cargo.toml -q
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -221,7 +221,7 @@ fn x4_relevant_elements_for_d2() {
         ViewDef::new(parse_rule("e13(X, Y, Z) :- b3(X, Y, Z).").unwrap()).unwrap(),
     );
     let q = parse_rule("d2(X) :- b2(X, Z), b3(Z, c2, c6).").unwrap();
-    let uses = engine.find_relevant(&q);
+    let uses = engine.find_relevant(&q, &mut 0);
     let b3_part: Vec<u64> = uses
         .iter()
         .filter(|u| u.component.len() == 1 && u.component.start == 1)

@@ -5,14 +5,23 @@
 //!   variable merges) must be recognized as subsumed: the paper's whole
 //!   reuse story rests on instance queries hitting general cached views
 //!   (§5.3.1's `d1/d2/d3` are exactly such instances).
+//! * **Index ≡ exhaustive scan** — the constant-keyed index of
+//!   [`SubsumptionEngine`] returns exactly what checking every cached
+//!   element returns, in the same order, over random caches built by
+//!   interleaved inserts and removes.
 //! * **Round-trips of the advice notation** — display∘parse is the
 //!   identity on the path-expression language (the IE and CMS exchange
 //!   this text, §3).
 
 use braid_advice::{parse_path_expr, PathExpr, PatternArg, QueryPattern, RepBound, Repetition};
-use braid_caql::{parse_rule, Atom, ConjunctiveQuery, Literal, Subst, Term};
-use braid_subsume::{subsumes, Component, ViewDef};
+use braid_caql::{
+    parse_rule, ArithExpr, Atom, CmpOp, Comparison, ConjunctiveQuery, Literal, Subst, Term,
+};
+use braid_subsume::{
+    decompose, subsumes, CandidateUse, Component, Derivation, SubsumptionEngine, ViewDef,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------- subsumption completeness ----------
 
@@ -114,6 +123,269 @@ proptest! {
         .unwrap();
         let q = parse_rule(&format!("q(A, B) :- p{pred}(A, B).")).unwrap();
         prop_assert!(subsumes(&e, &Component::whole(&q), &["A", "B"]).is_none());
+    }
+}
+
+// ---------- indexed relevant-element search ≡ exhaustive scan ----------
+
+/// The constant pool: `1`, `1.0` and `"1"` are three distinct values that
+/// must never share an index bucket, nor be told apart wrongly.
+fn constant(k: u8) -> Term {
+    Term::Const(match k % 5 {
+        0 => Value::int(1),
+        1 => Value::from(1.0),
+        2 => Value::str("1"),
+        3 => Value::str("c"),
+        _ => Value::int(2),
+    })
+}
+
+/// A term: one of three variables or a pool constant.
+fn term_strategy() -> impl Strategy<Value = Term> {
+    (0..8u8).prop_map(|k| {
+        if k < 3 {
+            Term::var(format!("V{k}"))
+        } else {
+            constant(k)
+        }
+    })
+}
+
+/// An atom over `p0..p1` with arity 1–3 (so `p0/1` and `p0/2` differ).
+/// The vocabulary is small so that elements often overlap.
+fn atom_strategy() -> impl Strategy<Value = Atom> {
+    prop_oneof![
+        (0..2u8, proptest::collection::vec(term_strategy(), 1..3))
+            .prop_map(|(p, args)| Atom::new(format!("p{p}"), args)),
+        // A constant repeated within one atom.
+        (0..2u8, 0..5u8, 0..3u8).prop_map(|(p, k, v)| Atom::new(
+            format!("p{p}"),
+            vec![constant(k), Term::var(format!("V{v}")), constant(k)],
+        )),
+        // Constant-free.
+        (0..2u8, proptest::collection::vec(0..3u8, 1..3)).prop_map(|(p, vs)| Atom::new(
+            format!("p{p}"),
+            vs.into_iter().map(|v| Term::var(format!("V{v}"))).collect(),
+        )),
+    ]
+}
+
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+/// A comparison `V op k` on one of the body's variables (none when the
+/// body is ground).
+fn comparison_on(body: &[Atom], pick: u8, op: u8, k: i64) -> Option<Literal> {
+    let vars: Vec<&str> = body.iter().flat_map(|a| a.vars()).collect();
+    let v = vars.get(usize::from(pick) % vars.len().max(1))?;
+    Some(Literal::Cmp(Comparison {
+        op: CMP_OPS[usize::from(op) % CMP_OPS.len()],
+        lhs: ArithExpr::Term(Term::var(*v)),
+        rhs: ArithExpr::Term(Term::val(k)),
+    }))
+}
+
+/// A conjunctive query: 1–3 atoms, an optional comparison, and a head
+/// projecting the body variables selected by `mask` (all of them for
+/// `mask >= 8`, the most reusable form).
+fn cq_strategy(body: impl Strategy<Value = Vec<Atom>>) -> impl Strategy<Value = ConjunctiveQuery> {
+    (body, 0..2u8, 0..4u8, 0..6u8, 0..3i64, 0..16u8).prop_map(
+        |(atoms, with_cmp, pick, op, k, mask)| {
+            let mut head: Vec<Term> = Vec::new();
+            for v in atoms.iter().flat_map(|a| a.vars()) {
+                let bit = v[1..].parse::<u32>().expect("V<digit>");
+                let keep = mask >= 8 || mask & (1 << bit) != 0;
+                if keep && !head.iter().any(|t| t.as_var() == Some(v)) {
+                    head.push(Term::var(v));
+                }
+            }
+            let mut lits: Vec<Literal> = atoms.iter().cloned().map(Literal::Atom).collect();
+            if with_cmp == 1 {
+                lits.extend(comparison_on(&atoms, pick, op, k));
+            }
+            ConjunctiveQuery::new(Atom::new("q", head), lits)
+        },
+    )
+}
+
+fn view_strategy() -> impl Strategy<Value = ViewDef> {
+    let random = cq_strategy(proptest::collection::vec(atom_strategy(), 1..4)).boxed();
+    // Restricted only by a comparison: constant-free atoms plus a
+    // comparison on their first variable.
+    let cmp_only = (
+        proptest::collection::vec(proptest::collection::vec(0..3u8, 2), 1..3),
+        0..6u8,
+        0..3i64,
+    )
+        .prop_map(|(atoms, op, k)| {
+            let atoms: Vec<Atom> = atoms
+                .into_iter()
+                .map(|vs| {
+                    Atom::new(
+                        "p1",
+                        vs.into_iter().map(|v| Term::var(format!("V{v}"))).collect(),
+                    )
+                })
+                .collect();
+            let mut lits: Vec<Literal> = atoms.iter().cloned().map(Literal::Atom).collect();
+            lits.extend(comparison_on(&atoms, 0, op, k));
+            let head = atoms[0].args.clone();
+            ConjunctiveQuery::new(Atom::new("e", head), lits)
+        });
+    prop_oneof![random.clone(), random, cmp_only]
+        .prop_map(|q| ViewDef::new(q).expect("heads project body variables"))
+}
+
+/// One step of a cache's life.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Insert(ViewDef),
+    /// Remove the live element at this index (mod the live count).
+    Remove(usize),
+    Probe(ConjunctiveQuery),
+    /// Probe a live element's body with its variables instantiated by
+    /// pool constants where the choice is < 5.
+    ProbeInstance(usize, Vec<u8>),
+}
+
+fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
+    prop_oneof![
+        view_strategy().prop_map(CacheOp::Insert),
+        view_strategy().prop_map(CacheOp::Insert),
+        (0..64usize).prop_map(CacheOp::Remove),
+        cq_strategy(proptest::collection::vec(atom_strategy(), 1..4)).prop_map(CacheOp::Probe),
+        (0..64usize, proptest::collection::vec(0..8u8, 3))
+            .prop_map(|(i, ks)| CacheOp::ProbeInstance(i, ks)),
+    ]
+}
+
+/// The reference: every cached element checked against every component.
+fn scan_relevant(cache: &BTreeMap<u64, ViewDef>, q: &ConjunctiveQuery) -> Vec<CandidateUse> {
+    let mut out = Vec::new();
+    for component in decompose(q) {
+        let needed = component.needed_vars(q);
+        let needed: Vec<&str> = needed.iter().map(String::as_str).collect();
+        for (id, def) in cache {
+            if let Some(derivation) = subsumes(def, &component, &needed) {
+                out.push(CandidateUse {
+                    element: *id,
+                    component: component.clone(),
+                    derivation,
+                });
+            }
+        }
+    }
+    out
+}
+
+fn scan_whole(cache: &BTreeMap<u64, ViewDef>, q: &ConjunctiveQuery) -> Vec<(u64, Derivation)> {
+    let component = Component::whole(q);
+    let needed: Vec<&str> = q.head.var_set().into_iter().collect();
+    cache
+        .iter()
+        .filter_map(|(id, def)| Some((*id, subsumes(def, &component, &needed)?)))
+        .collect()
+}
+
+/// Both searches against the scan; returns the whole-query subsumers.
+fn assert_index_matches_scan(
+    engine: &SubsumptionEngine,
+    cache: &BTreeMap<u64, ViewDef>,
+    q: &ConjunctiveQuery,
+) -> Vec<u64> {
+    let mut checks = 0;
+    let relevant = engine.find_relevant(q, &mut checks);
+    assert_eq!(relevant, scan_relevant(cache, q), "find_relevant on {q}");
+    assert!(checks <= cache.len() * decompose(q).len());
+    let mut checks = 0;
+    let whole = engine.find_whole(q, &mut checks);
+    assert_eq!(whole, scan_whole(cache, q), "find_whole on {q}");
+    assert!(checks <= cache.len());
+    whole.into_iter().map(|(id, _)| id).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn indexed_search_matches_exhaustive_scan(
+        ops in proptest::collection::vec(cache_op_strategy(), 1..40),
+    ) {
+        let mut engine = SubsumptionEngine::new();
+        let mut cache: BTreeMap<u64, ViewDef> = BTreeMap::new();
+        let mut next_id = 0;
+        for op in ops {
+            match op {
+                CacheOp::Insert(def) => {
+                    engine.insert(next_id, def.clone());
+                    cache.insert(next_id, def.clone());
+                    // A view always subsumes its own definition, so every
+                    // insert also guarantees the comparison sees a hit.
+                    let found = assert_index_matches_scan(&engine, &cache, def.query());
+                    prop_assert!(found.contains(&next_id), "{def} misses itself");
+                    next_id += 1;
+                }
+                CacheOp::Remove(i) => {
+                    if let Some(id) = cache.keys().nth(i % cache.len().max(1)).copied() {
+                        prop_assert_eq!(engine.remove(id), cache.remove(&id));
+                    }
+                }
+                CacheOp::Probe(q) => {
+                    assert_index_matches_scan(&engine, &cache, &q);
+                }
+                CacheOp::ProbeInstance(i, ks) => {
+                    let Some(def) = cache.values().nth(i % cache.len().max(1)) else {
+                        continue;
+                    };
+                    let mut inst = Subst::new();
+                    for (v, k) in ks.iter().enumerate() {
+                        if *k < 5 {
+                            inst.insert(format!("V{v}"), constant(*k));
+                        }
+                    }
+                    let body: Vec<Literal> = def
+                        .atoms()
+                        .into_iter()
+                        .map(|a| Literal::Atom(inst.apply_atom(a)))
+                        .collect();
+                    let q = ConjunctiveQuery::new(Atom::new("q", Vec::new()), body);
+                    assert_index_matches_scan(&engine, &cache, &q);
+                }
+            }
+        }
+        prop_assert_eq!(engine.len(), cache.len());
+    }
+}
+
+#[test]
+fn mixed_type_constants_key_distinct_buckets() {
+    let mut engine = SubsumptionEngine::new();
+    for (id, k) in [(1, 0), (2, 1), (3, 2)] {
+        let body = vec![Literal::Atom(Atom::new(
+            "p",
+            vec![constant(k), Term::var("X")],
+        ))];
+        engine.insert(id, ViewDef::over_conjunction("e", body).unwrap());
+    }
+    for (id, k) in [(1, 0), (2, 1), (3, 2)] {
+        let q = ConjunctiveQuery::new(
+            Atom::new("q", vec![Term::var("Y")]),
+            vec![Literal::Atom(Atom::new(
+                "p",
+                vec![constant(k), Term::var("Y")],
+            ))],
+        );
+        let mut checks = 0;
+        let whole = engine.find_whole(&q, &mut checks);
+        assert_eq!(checks, 1, "{q} checked only its own bucket");
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].0, id);
     }
 }
 
